@@ -1,16 +1,26 @@
-"""Pure-Python bitset kernels for face enumeration.
+"""Pure-Python bitset kernels for face enumeration, and the bitsliced
+construction-equivalence sweep.
 
-These are the hot inner loops of the package: clique enumeration, the
-odd-triangle face rule, separated-deleted-join pair enumeration, and the
-construction-equivalence sweep.  `flagtwin._speedups` is a compiled twin with
-identical semantics; `flagtwin.kernels` picks the backend at import time.
+The per-graph kernels are the hot inner loops of the package: clique
+enumeration, the odd-triangle face rule, separated-deleted-join pair
+enumeration and the one-graph equivalence check.  `flagtwin._speedups` is a
+compiled twin of them with identical semantics; `flagtwin.kernels` picks the
+backend at import time.  Masks are plain ints (bit v = vertex v), so this
+backend works for any n.  Enumeration order is depth-first over ascending
+vertex ids, which yields faces in lexicographic order of their sorted vertex
+tuples within each size.
 
-Masks are plain ints (bit v = vertex v), so this backend works for any n.
-Enumeration order is depth-first over ascending vertex ids, which yields
-faces in lexicographic order of their sorted vertex tuples within each size.
+The exhaustive sweep over all graphs on n <= 8 vertices has no compiled twin:
+it is bitsliced with numpy, so each face predicate is a few AND/OR/XOR
+operations over packed bitmaps holding one bit per graph, and the per-graph
+enumerators above serve as its independent cross-check.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from .errors import ParameterError
 
 
 def _closed_neighborhood(adj, mask: int) -> int:
@@ -230,19 +240,158 @@ def equivalence_check(adj, n: int, max_card: int) -> bool:
     return True
 
 
+# ---------------------------------------------------------------- bitsliced sweep
+#
+# Graph g on n vertices has edge pairs[i] iff bit i of g is set, with pairs in
+# lex order (0,1), (0,2), ..., (n-2,n-1).  A bitmap over graphs is a uint64
+# array; bit j of word w stands for graph 64*w + j.  A face predicate built
+# from edge bitmaps with AND/OR/XOR is thereby evaluated on all graphs at once.
+
+SWEEP_MAX_N = 8
+# words per chunk of the graph index space: 131072 graphs, 16 KB per bitmap
+_SWEEP_CHUNK_WORDS = 1 << 11
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# bit j of word i is bit i of j: the first six edges vary within a word
+_IN_WORD_EDGES = (
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+)
+
+
+def sweep_words(n: int) -> int:
+    """Words in a bitmap over all 2^C(n,2) graphs on n vertices (at least one)."""
+    return max(1, (1 << (n * (n - 1) // 2)) >> 6)
+
+
+def _edge_bitmaps(n: int, start: int, words: int) -> list[list]:
+    """E[u][v] (u < v): bitmap of graphs with edge uv, for words start..start+words-1."""
+    index = np.arange(start, start + words, dtype=np.uint64)
+    edges = [[None] * n for _ in range(n)]
+    i = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if i < len(_IN_WORD_EDGES):
+                edges[u][v] = np.full(words, _IN_WORD_EDGES[i], dtype=np.uint64)
+            else:
+                bit = (index >> np.uint64(i - len(_IN_WORD_EDGES))) & np.uint64(1)
+                edges[u][v] = np.uint64(0) - bit
+            i += 1
+    return edges
+
+
+def _odd_triangle(e_ab, e_ac, e_bc):
+    """Graphs in which a triangle spans an odd number (1 or 3) of edges."""
+    return e_ab ^ e_ac ^ e_bc
+
+
+def _odd_bitmaps(n: int, edges) -> dict:
+    """odd[S] for |S| >= 3: graphs in which every triple of S is odd.
+
+    Every triple of S misses one of any four vertices of S, so for |S| >= 4
+    odd[S] is the AND of odd[S - x] over the four lowest x in S.
+    """
+    odd = {}
+    for s in range(1 << n):
+        size = s.bit_count()
+        if size < 3:
+            continue
+        verts = [v for v in range(n) if s >> v & 1]
+        if size == 3:
+            a, b, c = verts
+            odd[s] = _odd_triangle(edges[a][b], edges[a][c], edges[b][c])
+        else:
+            w, x, y, z = verts[:4]
+            acc = odd[s ^ (1 << w)] & odd[s ^ (1 << x)]
+            acc &= odd[s ^ (1 << y)]
+            acc &= odd[s ^ (1 << z)]
+            odd[s] = acc
+    return odd
+
+
+def _neighbour_bitmaps(n: int, edges, ones):
+    """full[v][X], none[v][X] for X within vertices 0..v-1: graphs in which v
+    is adjacent to every vertex of X, resp. to none of them."""
+    full, none = [], []
+    for v in range(n):
+        f, z = [ones], [ones]
+        for x in range(1, 1 << v):
+            low = x & -x
+            e = edges[low.bit_length() - 1][v]
+            f.append(f[x ^ low] & e)
+            z.append(z[x ^ low] & ~e)
+        full.append(f)
+        none.append(z)
+    return full, none
+
+
+def _grow_splits(n: int, full, none, s: int, top: int, parts: dict):
+    """Extend S (largest vertex top) by each larger vertex v in depth-first
+    order.  parts maps A, with min S in A, to the graphs in which S is two
+    cliques A and S - A with no edge across; v joins A when it is adjacent
+    to all of A and to none of S - A, and joins S - A the other way round.
+    Yields (S + v, its parts) for every extension."""
+    for v in range(top + 1, n):
+        bit = 1 << v
+        grown = {}
+        for a, p in parts.items():
+            b = s ^ a
+            joined = p & full[v][a]
+            joined &= none[v][b]
+            grown[a | bit] = joined
+            apart = p & full[v][b]
+            apart &= none[v][a]
+            grown[a] = apart
+        yield s | bit, grown
+        yield from _grow_splits(n, full, none, s | bit, v, grown)
+
+
+def sweep_face_predicates(n: int, start: int, words: int):
+    """Yield (S, odd[S], split[S]) for every vertex set S with |S| >= 3, as
+    bitmaps over the graphs of words start..start+words-1.
+
+    odd[S]: every triple of S spans an odd number of edges (the odd-triangle
+    face rule).  split[S]: S is two cliques with no edge across (the
+    involution quotient of the separated deleted join), the OR over the
+    partitions A + B = S with min S in A of clique(A), clique(B) and no edge
+    between A and B.
+    """
+    ones = np.full(words, _ONES, dtype=np.uint64)
+    edges = _edge_bitmaps(n, start, words)
+    odd = _odd_bitmaps(n, edges)
+    full, none = _neighbour_bitmaps(n, edges, ones)
+    for m in range(n):
+        for s, parts in _grow_splits(n, full, none, 1 << m, m, {1 << m: ones}):
+            if s.bit_count() >= 3:
+                split = np.zeros(words, dtype=np.uint64)
+                for p in parts.values():
+                    split |= p
+                yield s, odd[s], split
+
+
 def exhaustive_equivalence(n: int) -> int:
-    """Number of graphs on n vertices failing the equivalence check (all 2^C(n,2))."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    """Number of graphs on n vertices (all 2^C(n,2)) whose odd-triangle face
+    set differs from their two-clique split face set.
+
+    Faces of one or two vertices belong to both sets for every graph, so only
+    |S| >= 3 is compared.  The graph index space is walked in chunks of at
+    most _SWEEP_CHUNK_WORDS words, so memory grows with the 2^n vertex sets
+    but not with the 2^C(n,2) graphs.
+    """
+    if not 0 <= n <= SWEEP_MAX_N:
+        raise ParameterError(f"exhaustive sweep supports 0 <= n <= {SWEEP_MAX_N}, got {n}")
+    total = sweep_words(n)
+    graphs = 1 << (n * (n - 1) // 2)
     failures = 0
-    for bits in range(1 << len(pairs)):
-        adj = [0] * n
-        rem = bits
-        while rem:
-            low = rem & -rem
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            rem ^= low
-        if not equivalence_check(adj, n, n):
-            failures += 1
+    for start in range(0, total, _SWEEP_CHUNK_WORDS):
+        words = min(_SWEEP_CHUNK_WORDS, total - start)
+        bad = np.zeros(words, dtype=np.uint64)
+        for _, odd, split in sweep_face_predicates(n, start, words):
+            bad |= odd ^ split
+        if graphs < 64:  # one partial word; its upper bits repeat graphs
+            bad &= np.uint64((1 << graphs) - 1)
+        failures += int(np.unpackbits(bad.view(np.uint8)).sum())
     return failures

@@ -37,7 +37,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-dim", type=int, dest="max_dim", help="complex construction cutoff")
     parser.add_argument("--tol", type=float, help="numerical tolerance")
     parser.add_argument("--out", help="output path (default stdout)")
-    parser.add_argument("--format", dest="fmt", choices=["csv", "records"], help="output format")
+    parser.add_argument("--format", dest="fmt", choices=ex.OUTPUT_FORMATS, help="output format")
 
 
 def _open_out(path):

@@ -371,18 +371,20 @@ def read_complex(inp: TextIO) -> Complex:
     header = inp.readline().split()
     if len(header) != 2:
         raise FormatError("complex header must be 'n maxDim'")
-    n, max_dim = int(header[0]), int(header[1])
+    n, max_dim = _ints(header, "complex header must contain two integers")
     if n < 0 or max_dim < 0:
         raise FormatError("complex header values must be nonnegative")
     dims: list[tuple[Face, ...]] = []
     for k in range(max_dim + 1):
         parts = inp.readline().split()
-        if len(parts) != 3 or parts[0] != "dim" or int(parts[1]) != k:
+        if len(parts) != 3 or parts[0] != "dim":
             raise FormatError(f"expected 'dim {k} count' line")
-        count = int(parts[2])
+        dim, count = _ints(parts[1:], f"expected 'dim {k} count' line")
+        if dim != k or count < 0:
+            raise FormatError(f"expected 'dim {k} count' line")
         faces = []
         for _ in range(count):
-            face = tuple(int(x) for x in inp.readline().split())
+            face = _ints(inp.readline().split(), "face lines must hold integers")
             if len(face) != k + 1:
                 raise FormatError(f"face {face} has wrong cardinality for dimension {k}")
             if list(face) != sorted(set(face)):
@@ -396,3 +398,10 @@ def read_complex(inp: TextIO) -> Complex:
     c = Complex(n, max_dim, tuple(dims))
     validate_closure(c)
     return c
+
+
+def _ints(tokens: list[str], message: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in tokens)
+    except ValueError as exc:
+        raise FormatError(message) from exc

@@ -37,5 +37,9 @@ class LiftBlockedError(ValueError):
     """The lifted collapse sequence is not performable on this instance."""
 
 
+class CertificateError(RuntimeError):
+    """An exact certificate failed its own re-verification (an internal fault)."""
+
+
 class ResourceCapError(RuntimeError):
     """A per-trial resource cap (faces, nonzeros, wall time) was exceeded."""

@@ -29,6 +29,9 @@ from .errors import ParameterError, ResourceCapError
 from .rng import Rng, derive_seed
 
 
+OUTPUT_FORMATS = ("csv", "records")
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -556,6 +559,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if key not in valid:
             raise ParameterError(f"unknown config key {key!r}")
         kwargs[key] = value
+    if kwargs.get("fmt", "records") not in OUTPUT_FORMATS:
+        raise ParameterError(f"format must be one of {OUTPUT_FORMATS}, got {kwargs['fmt']!r}")
     if "ns" in kwargs and isinstance(kwargs["ns"], (int, str)):
         kwargs["ns"] = _parse_ints(kwargs["ns"])
     for tup_key, caster in (("n_range", int), ("p_range", float), ("c_consts", float)):

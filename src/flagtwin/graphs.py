@@ -364,7 +364,10 @@ def read_graph(inp: TextIO) -> Graph:
         parts = inp.readline().split()
         if len(parts) != 2:
             raise FormatError("each edge line must be 'u v'")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError("each edge line must hold two integers") from exc
         if not (0 <= u < v < n):
             raise FormatError(f"edge ({u},{v}) must satisfy 0 <= u < v < n")
         if (u, v) in seen:

@@ -5,6 +5,10 @@ most 63 vertices with machine-word masks; anything larger, or any build
 without the extension, runs on the pure-Python twin in `_kernel_py`.
 `BACKEND` reports what was selected at import; `bench_kernels.py` in
 benchmarks/ times the two against each other and checks they agree.
+
+`exhaustive_equivalence` runs the numpy bitsliced sweep of `_kernel_py` on
+every backend: it checks all graphs on n vertices at once and outruns the
+compiled core's one-check-per-graph loop.
 """
 
 from __future__ import annotations
@@ -69,6 +73,4 @@ def equivalence_check(adj, n, max_card):
 
 
 def exhaustive_equivalence(n):
-    if _c is not None and n <= 8:
-        return _c.exhaustive_equivalence(n)
     return _py.exhaustive_equivalence(n)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import kernels
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import CertificateError, DimensionError, FormatError, ParameterError
 from .graphs import Graph
 from .rng import Rng
 
@@ -57,21 +57,34 @@ def write_embedding(emb: Embedding, out: TextIO) -> None:
 
 
 def read_embedding(inp: TextIO) -> Embedding:
+    """Inverse of write_embedding; raises FormatError on any malformed input."""
     header = inp.readline().split()
     if len(header) != 2:
         raise FormatError("embedding header must be 'n d'")
-    n, d = int(header[0]), int(header[1])
+    try:
+        n, d = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise FormatError("embedding header must contain two integers") from exc
+    if n < 0 or d < 0:
+        raise FormatError("embedding header values must be nonnegative")
     pts = []
     for _ in range(n):
-        parts = inp.readline().split()
+        line = inp.readline()
+        if not line:  # a point line may be empty (d = 0) but not missing
+            raise FormatError(f"expected {n} point lines")
+        parts = line.split()
         if len(parts) != d:
             raise FormatError(f"expected {d} rationals per line")
-        row = []
-        for tok in parts:
-            num, _, den = tok.partition("/")
-            row.append(Fraction(int(num), int(den) if den else 1))
-        pts.append(tuple(row))
+        pts.append(tuple(_rational(tok) for tok in parts))
     return Embedding(d, tuple(pts))
+
+
+def _rational(tok: str) -> Fraction:
+    num, slash, den = tok.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad rational {tok!r}; expected p or p/q with q != 0") from exc
 
 
 # ---------------------------------------------------------------- clique pairs
@@ -214,12 +227,14 @@ def hulls_intersect(
     point = tuple(
         sum((lam[i] * p_points[i][k] for i in range(np_)), Fraction(0)) for k in range(d)
     )
-    # exact re-verification of the certificate
+    # exact re-verification of the certificate; a raise, not an assert, so
+    # that it also runs under python -O
     other = tuple(
         sum((mu[j] * q_points[j][k] for j in range(nq)), Fraction(0)) for k in range(d)
     )
-    assert point == other and sum(lam) == 1 and sum(mu) == 1
-    assert all(w >= 0 for w in lam) and all(w >= 0 for w in mu)
+    if not (point == other and sum(lam) == 1 and sum(mu) == 1
+            and all(w >= 0 for w in lam) and all(w >= 0 for w in mu)):
+        raise CertificateError("simplex solution fails exact re-verification")
     return point, lam, mu
 
 

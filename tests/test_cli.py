@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from flagtwin import cli
 from flagtwin import complexes as cx
@@ -153,6 +159,18 @@ def test_campaign_abort_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "homology", "--complex", "/nonexistent", "--max-k", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["3 x\n", "3 0\ndim 0 x\n", "3 0\ndim 0 3\n0\n1\ntwo\n"])
+def test_malformed_complex_file_exit_code(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "flagtwin.cli", "homology", "--complex", str(path),
+                          "--max-k", "1"], env=env, capture_output=True, text=True)
+    assert out.returncode == 2 and "Traceback" not in out.stderr
+    assert "parameter error" in out.stderr
 
 
 def test_truncated_profile_request_exit_code(tmp_path, capsys):

@@ -134,6 +134,14 @@ def test_config_from_dict_normalizes_keys():
         ex.config_from_dict({"experiment": "fvector", "bogus": 1})
 
 
+@pytest.mark.parametrize("key", ["format", "fmt"])
+def test_config_from_dict_rejects_unknown_format(key):
+    assert ex.config_from_dict({"experiment": "fvector", key: "records"}).fmt == "records"
+    for bad in ("json", "CSV", ""):
+        with pytest.raises(ParameterError):
+            ex.config_from_dict({"experiment": "fvector", key: bad})
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# campaign\nn = 10\ntrials = 4\np = 0.5  # inline comment\n")

@@ -1,11 +1,14 @@
 """Backend agreement: the compiled core must match the pure-Python twin bit
-for bit on every kernel, and both must match brute-force enumeration."""
+for bit on every kernel, and both must match brute-force enumeration.  The
+bitsliced exhaustive sweep is checked graph by graph against the per-graph
+enumerators."""
 
 import pytest
 
 from flagtwin import _kernel_py as py
 from flagtwin import graphs as gr
 from flagtwin import kernels
+from flagtwin.errors import ParameterError
 
 import oracles
 
@@ -86,3 +89,66 @@ def test_lex_order_within_each_dimension():
     for bucket in by_size[1:]:
         faces = [tuple(v for v in range(g.n) if m >> v & 1) for m in bucket]
         assert faces == sorted(faces)
+
+
+# ---------------------------------------------------------------- bitsliced sweep
+
+
+def _graph_adj(n, g):
+    """Adjacency of graph g on n vertices: edge i (lex order of pairs) iff bit i of g."""
+    adj = [0] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for i, (u, v) in enumerate(pairs):
+        if g >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_sweep_predicates_match_enumerators_graph_by_graph(n):
+    words = py.sweep_words(n)
+    preds = {}
+    for s, odd, split in py.sweep_face_predicates(n, 0, words):
+        assert s not in preds
+        preds[s] = (int.from_bytes(odd.tobytes(), "little"),
+                    int.from_bytes(split.tobytes(), "little"))
+    assert sorted(preds) == [s for s in range(1 << n) if s.bit_count() >= 3]
+    for g in range(1 << (n * (n - 1) // 2)):
+        adj = _graph_adj(n, g)
+        odd_faces = {m for bucket in py.odd_face_masks(adj, n, n) for m in bucket}
+        quotient = {a | b for bucket in py.sdj_pair_masks(adj, n, n) for a, b in bucket}
+        for s, (odd, split) in preds.items():
+            assert bool(odd >> g & 1) == (s in odd_faces), (n, g, s)
+            assert bool(split >> g & 1) == (s in quotient), (n, g, s)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_sweep_small_n_has_no_failures(n):
+    # n <= 3 has fewer than 64 graphs: one partial word
+    assert kernels.exhaustive_equivalence(n) == 0
+
+
+@pytest.mark.parametrize("n", [-1, 9])
+def test_sweep_rejects_n_out_of_range_before_allocating(n, monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("allocated before the range check")
+
+    monkeypatch.setattr(py, "_edge_bitmaps", no_allocation)
+    with pytest.raises(ParameterError):
+        kernels.exhaustive_equivalence(n)
+
+
+def test_sweep_counts_failures_of_a_wrong_rule(monkeypatch):
+    # the even-triangle rule disagrees with the two-clique split on every
+    # graph with a vertex triple, and the partial word counts each graph once
+    monkeypatch.setattr(py, "_odd_triangle", lambda ab, ac, bc: ~(ab ^ ac ^ bc))
+    assert [kernels.exhaustive_equivalence(n) for n in range(6)] == [0, 0, 0, 8, 64, 1024]
+
+
+def test_sweep_chunks_agree(monkeypatch):
+    # n=6 spans 512 words; chunks of 4 words exercise every chunk offset
+    monkeypatch.setattr(py, "_odd_triangle", lambda ab, ac, bc: ab & ~ac)
+    whole = kernels.exhaustive_equivalence(6)
+    monkeypatch.setattr(py, "_SWEEP_CHUNK_WORDS", 4)
+    assert kernels.exhaustive_equivalence(6) == whole > 0

@@ -1,12 +1,17 @@
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagtwin import graphs as gr
 from flagtwin import radon as rd
-from flagtwin.errors import DimensionError, ParameterError
+from flagtwin.errors import CertificateError, DimensionError, ParameterError
 
 import oracles
 
@@ -29,6 +34,31 @@ def test_crossing_segments_exact_point():
 
 def test_touching_hulls_count_as_intersecting():
     assert rd.hulls_intersect([(F(0),), (F(1),)], [(F(1),), (F(2),)]) is not None
+
+
+def test_bad_simplex_certificate_raises(monkeypatch):
+    # lam = mu = 1 puts the two hulls' points at 0 and 1: not a common point
+    monkeypatch.setattr(rd, "_phase1_simplex", lambda rows, b: [F(1), F(1)])
+    with pytest.raises(CertificateError):
+        rd.hulls_intersect([(F(0),)], [(F(1),)])
+
+
+def test_bad_simplex_certificate_raises_under_optimize():
+    script = (
+        "from fractions import Fraction as F\n"
+        "from flagtwin import radon as rd\n"
+        "from flagtwin.errors import CertificateError\n"
+        "rd._phase1_simplex = lambda rows, b: [F(1), F(1)]\n"
+        "try:\n"
+        "    rd.hulls_intersect([(F(0),)], [(F(1),)])\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(rd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
 
 
 def test_dimension_mismatch():
